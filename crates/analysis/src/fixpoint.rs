@@ -13,6 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use starmagic_catalog::Catalog;
+use starmagic_qgm::keys::KeysMemo;
 use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId};
 
 use crate::domains::BoxFacts;
@@ -23,7 +24,10 @@ use crate::transfer::{transfer, Ctx};
 const WIDEN_AT: usize = 8;
 
 /// Solve the dataflow equations for every box reachable from the top
-/// (following quantifier and magic-link edges).
+/// (following quantifier and magic-link edges). Candidate keys depend
+/// on the graph alone, never on the facts, so one [`KeysMemo`] serves
+/// every transfer of the solve: each box's key subtree is walked once,
+/// not once per ancestor.
 pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
     let order = postorder(qgm);
     let deps = dependencies(qgm, &order);
@@ -39,6 +43,7 @@ pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
     let mut updates: BTreeMap<BoxId, usize> = BTreeMap::new();
     let mut queued: BTreeSet<BoxId> = order.iter().copied().collect();
     let mut work: VecDeque<BoxId> = order.iter().copied().collect();
+    let mut keys = KeysMemo::default();
 
     while let Some(b) = work.pop_front() {
         queued.remove(&b);
@@ -48,7 +53,7 @@ pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
                 catalog,
                 facts: &facts,
             };
-            transfer(&ctx, b)
+            transfer(&ctx, b, &mut keys)
         };
         let count = updates.entry(b).or_insert(0);
         let new = if *count >= WIDEN_AT {

@@ -144,9 +144,10 @@ fn main() -> ExitCode {
                     continue;
                 }
             };
-            let mut report = optimized.lint.clone();
-            if opts.analysis {
-                report.extend(optimized.analysis.report.clone());
+            let mut report = optimized.lint(engine.catalog());
+            let analysis = opts.analysis.then(|| optimized.analysis(engine.catalog()));
+            if let Some(a) = &analysis {
+                report.extend(a.report.clone());
             }
             let e = report.errors().count();
             let w = report.warnings().count();
@@ -160,8 +161,8 @@ fn main() -> ExitCode {
             } else if opts.verbose {
                 println!("{label} [{strategy}] clean");
             }
-            if opts.verbose && opts.analysis {
-                print!("{}", optimized.analysis.render(optimized.chosen()));
+            if let Some(a) = analysis.filter(|_| opts.verbose) {
+                print!("{}", a.render(optimized.chosen()));
             }
         }
     }

@@ -474,11 +474,12 @@ mod tests {
                 let o = optimize(engine.catalog(), engine.registry(), &query, opts).unwrap_or_else(
                     |e| panic!("experiment {}: a rule broke an invariant: {e}", exp.id),
                 );
+                let lint = o.lint(engine.catalog());
                 assert!(
-                    !o.lint.has_errors(),
+                    !lint.has_errors(),
                     "experiment {}: chosen plan has lint errors: {:?}",
                     exp.id,
-                    o.lint.diagnostics
+                    lint.diagnostics
                 );
             }
         }
@@ -513,11 +514,11 @@ mod tests {
             ] {
                 let query = starmagic::sql::parse_query(sql).unwrap();
                 let o = optimize(engine.catalog(), engine.registry(), &query, opts).unwrap();
+                let lint = o.lint(engine.catalog());
                 assert!(
-                    o.lint.find(Code::L110ParallelUnsafeJoinOrder).is_none(),
-                    "experiment {}: chosen plan pins a box to the serial path: {}",
+                    lint.find(Code::L110ParallelUnsafeJoinOrder).is_none(),
+                    "experiment {}: chosen plan pins a box to the serial path: {lint}",
                     exp.id,
-                    o.lint
                 );
             }
         }

@@ -461,6 +461,7 @@ mod tests {
                 qgm,
                 columns: vec!["empno".to_string()],
                 used_magic: false,
+                magic_refused: None,
                 cost_without_magic: 1.0,
                 cost_with_magic: 1.0,
                 threads: 1,

@@ -18,8 +18,9 @@ use crate::cache::CacheStats;
 use crate::pipeline::Optimized;
 use crate::ProfiledQuery;
 
-/// Render the full optimization trace.
-pub fn render(o: &Optimized) -> String {
+/// Render the full optimization trace. The lint and analysis sections
+/// are computed here, on demand, against `catalog`.
+pub fn render(o: &Optimized, catalog: &Catalog) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -47,23 +48,31 @@ pub fn render(o: &Optimized) -> String {
         o.cost_with_magic
     );
     out.push_str(&printer::print_graph(&o.phase3));
-    if o.lint.diagnostics.is_empty() {
+    let lint = o.lint(catalog);
+    if lint.diagnostics.is_empty() {
         let _ = writeln!(out, "== lint (chosen plan): clean");
     } else {
-        let errors = o.lint.errors().count();
-        let warns = o.lint.warnings().count();
+        let errors = lint.errors().count();
+        let warns = lint.warnings().count();
         let _ = writeln!(
             out,
             "== lint (chosen plan): {errors} error(s), {warns} warning(s)"
         );
-        for d in &o.lint.diagnostics {
+        for d in &lint.diagnostics {
             let _ = writeln!(out, "  {d}");
         }
     }
     let _ = writeln!(out, "== analysis (chosen plan)");
-    out.push_str(&o.analysis.render(o.chosen()));
+    out.push_str(&o.analysis(catalog).render(o.chosen()));
     let _ = writeln!(out, "== SQL after optimization");
     out.push_str(&render_sql::render_graph(o.chosen()));
+    if let Some(code) = o.magic_refused {
+        let _ = writeln!(
+            out,
+            "== magic refused: {code} on the phase-2 graph ({}); the original plan runs",
+            code.summary()
+        );
+    }
     let _ = writeln!(
         out,
         "== decision: {} plan (cost {:.0} vs {:.0}); rule fires: phase1 {:?}, phase2 {:?}, phase3 {:?}",
@@ -135,7 +144,7 @@ pub fn render_cache_section(stats: CacheStats, entries: usize, key: &str) -> Str
 /// observed execution profile, rewrite trace, cardinality report, and
 /// phase spans from an instrumented run.
 pub fn render_analyze(p: &ProfiledQuery, catalog: &Catalog) -> String {
-    let mut out = render(&p.optimized);
+    let mut out = render(&p.optimized, catalog);
     let qgm = p.optimized.chosen();
     let live: std::collections::BTreeSet<_> = qgm.box_ids().into_iter().collect();
 

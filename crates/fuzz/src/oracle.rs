@@ -21,8 +21,9 @@
 
 use std::cell::RefCell;
 
-use starmagic::analysis::Nullability;
-use starmagic::{Engine, Optimized, PipelineOptions};
+use starmagic::analysis::{Analysis, Nullability};
+use starmagic::qgm::BoxId;
+use starmagic::{Engine, PipelineOptions};
 use starmagic_common::{Error, Row, Value};
 use starmagic_rewrite::engine::CheckLevel;
 use starmagic_server::{Client, Response};
@@ -235,6 +236,9 @@ impl<'a> Oracle<'a> {
                 }
                 Ok(optimized) => {
                     let mut prepared = starmagic::prepared_from(&optimized, 1);
+                    let analysis = self
+                        .analysis
+                        .then(|| optimized.analysis(self.engine.catalog()));
                     for &threads in &self.threads {
                         for &columnar in modes {
                             prepared.threads = threads;
@@ -249,15 +253,15 @@ impl<'a> Oracle<'a> {
                                 threads,
                                 columnar,
                             };
-                            if self.analysis {
-                                if let Ok(rows) = &rows {
-                                    if let Some(detail) = analysis_disagreement(&optimized, rows) {
-                                        return Outcome::Diverged(Divergence {
-                                            left: cfg.to_string(),
-                                            right: "analysis".to_string(),
-                                            detail,
-                                        });
-                                    }
+                            if let (Some(analysis), Ok(rows)) = (&analysis, &rows) {
+                                if let Some(detail) =
+                                    analysis_disagreement(analysis, prepared.qgm.top(), rows)
+                                {
+                                    return Outcome::Diverged(Divergence {
+                                        left: cfg.to_string(),
+                                        right: "analysis".to_string(),
+                                        detail,
+                                    });
                                 }
                             }
                             runs.push((cfg, rows));
@@ -271,16 +275,16 @@ impl<'a> Oracle<'a> {
 }
 
 /// The analysis secondary oracle: executed results must respect the
-/// static facts of the chosen graph. Returns the disagreement, if any.
-/// Public so the corpus/suite agreement tests can replay the same
-/// judgement outside a fuzz run.
-pub fn analysis_disagreement(optimized: &Optimized, rows: &[Row]) -> Option<String> {
-    let report = &optimized.analysis.report;
+/// static facts of the chosen graph (from
+/// [`starmagic::Optimized::analysis`]; `top` is its top box). Returns
+/// the disagreement, if any. Public so the corpus/suite agreement
+/// tests can replay the same judgement outside a fuzz run.
+pub fn analysis_disagreement(analysis: &Analysis, top: BoxId, rows: &[Row]) -> Option<String> {
+    let report = &analysis.report;
     if report.has_errors() {
         return Some(format!("static analysis flags the chosen plan:\n{report}"));
     }
-    let top = optimized.chosen().top();
-    let f = optimized.analysis.facts_for(top)?;
+    let f = analysis.facts_for(top)?;
     if !f.card.contains(rows.len() as u64) {
         return Some(format!(
             "executed {} rows but the multiplicity domain proves {} for the top box",

@@ -15,8 +15,12 @@
 //! * a non-ALL set operation is keyed by the whole row;
 //! * a box with `DistinctMode::Enforce`/`Preserve` is keyed by the
 //!   whole row.
+//!
+//! Each call walks the box's whole input subtree. A caller asking about
+//! every box of one graph (the static analysis) passes a [`KeysMemo`]
+//! instead, so each box is walked once per graph.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use starmagic_catalog::Catalog;
 use starmagic_sql::BinOp;
@@ -38,8 +42,7 @@ type QuantKeys = (u32, Vec<BTreeSet<(u32, usize)>>);
 /// offsets. The empty set is a valid key (at most one row, e.g. a
 /// global aggregate). An empty `Vec` means "no key known".
 pub fn output_keys(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> Vec<BTreeSet<usize>> {
-    let mut visiting = BTreeSet::new();
-    keys_rec(qgm, catalog, b, &mut visiting)
+    keys_rec(qgm, catalog, b, &mut Walk::new(None))
 }
 
 /// Whether the box's output is provably duplicate-free.
@@ -47,27 +50,92 @@ pub fn is_dup_free(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> bool {
     !output_keys(qgm, catalog, b).is_empty()
 }
 
-fn keys_rec(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    b: BoxId,
-    visiting: &mut BTreeSet<BoxId>,
-) -> Vec<BTreeSet<usize>> {
-    if !visiting.insert(b) {
-        // Recursive cycle: claim nothing.
-        return Vec::new();
-    }
-    let result = keys_inner(qgm, catalog, b, visiting);
-    visiting.remove(&b);
-    result
+/// Output-column offsets of a box provably holding the same value in
+/// every row. Conservative: only selects and group-bys propagate
+/// constancy (an outer join NULL-pads, a set op mixes arms).
+pub fn const_outputs(qgm: &Qgm, b: BoxId) -> BTreeSet<usize> {
+    consts_rec(qgm, b, &mut Walk::new(None))
 }
 
-fn keys_inner(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    b: BoxId,
-    visiting: &mut BTreeSet<BoxId>,
-) -> Vec<BTreeSet<usize>> {
+/// Memoized [`output_keys`] and [`const_outputs`] for the boxes of
+/// *one* graph under one catalog. A box's result is stored only when
+/// its walk never cut a recursive cycle: such a result depends on the
+/// box alone, while a cut result depends on where the walk entered
+/// the cycle. Answers are therefore identical to the unmemoized
+/// functions.
+#[derive(Debug, Default)]
+pub struct KeysMemo {
+    keys: BTreeMap<BoxId, Vec<BTreeSet<usize>>>,
+    consts: BTreeMap<BoxId, BTreeSet<usize>>,
+}
+
+impl KeysMemo {
+    /// [`output_keys`], reusing every result already proven for this
+    /// graph.
+    pub fn output_keys(&mut self, qgm: &Qgm, catalog: &Catalog, b: BoxId) -> Vec<BTreeSet<usize>> {
+        keys_rec(qgm, catalog, b, &mut Walk::new(Some(self)))
+    }
+
+    /// [`const_outputs`], reusing every result already proven for
+    /// this graph.
+    pub fn const_outputs(&mut self, qgm: &Qgm, b: BoxId) -> BTreeSet<usize> {
+        consts_rec(qgm, b, &mut Walk::new(Some(self)))
+    }
+}
+
+/// State of one key/constancy walk.
+struct Walk<'m> {
+    /// Boxes on the current path (a repeat is a recursive cycle).
+    visiting: BTreeSet<BoxId>,
+    /// Cycle cuts taken so far. A result computed while this stayed
+    /// put does not depend on the path that reached its box.
+    cuts: usize,
+    memo: Option<&'m mut KeysMemo>,
+}
+
+impl<'m> Walk<'m> {
+    fn new(memo: Option<&'m mut KeysMemo>) -> Walk<'m> {
+        Walk {
+            visiting: BTreeSet::new(),
+            cuts: 0,
+            memo,
+        }
+    }
+
+    /// `compute`'s answer for `b`, unless `b` is already on the path
+    /// (a recursive cycle: the walk cuts it, counts the cut and claims
+    /// nothing) or its answer is memoized in `table`.
+    fn step<T: Clone + Default>(
+        &mut self,
+        b: BoxId,
+        table: fn(&mut KeysMemo) -> &mut BTreeMap<BoxId, T>,
+        compute: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        if self.visiting.contains(&b) {
+            self.cuts += 1;
+            return T::default();
+        }
+        if let Some(v) = self.memo.as_deref_mut().and_then(|m| table(m).get(&b)) {
+            return v.clone();
+        }
+        self.visiting.insert(b);
+        let cuts = self.cuts;
+        let v = compute(self);
+        self.visiting.remove(&b);
+        if self.cuts == cuts {
+            if let Some(m) = self.memo.as_deref_mut() {
+                table(m).insert(b, v.clone());
+            }
+        }
+        v
+    }
+}
+
+fn keys_rec(qgm: &Qgm, catalog: &Catalog, b: BoxId, w: &mut Walk<'_>) -> Vec<BTreeSet<usize>> {
+    w.step(b, |m| &mut m.keys, |w| keys_inner(qgm, catalog, b, w))
+}
+
+fn keys_inner(qgm: &Qgm, catalog: &Catalog, b: BoxId, w: &mut Walk<'_>) -> Vec<BTreeSet<usize>> {
     let qb = qgm.boxed(b);
     let mut keys: Vec<BTreeSet<usize>> = Vec::new();
 
@@ -84,7 +152,7 @@ fn keys_inner(
             // group keys are a key of the output. Keys pinned to a
             // constant in the input drop out. Zero (non-constant) group
             // keys ⇒ single-row output ⇒ the empty set is a key.
-            let const_keys = const_group_keys(qgm, b, g, visiting);
+            let const_keys = const_group_keys(qgm, b, g, w);
             keys.push(
                 (0..g.group_keys.len())
                     .filter(|i| !const_keys.contains(i))
@@ -112,7 +180,7 @@ fn keys_inner(
             // column, and a constant member drops out of the key.
             let (eq_classes, const_cols) = if matches!(qb.kind, BoxKind::Select) {
                 let eq = select_eq_classes(qgm, b);
-                let cc = select_const_cols(qgm, b, &eq, visiting);
+                let cc = select_const_cols(qgm, b, &eq, w);
                 (eq, cc)
             } else {
                 (Vec::new(), BTreeSet::new())
@@ -122,7 +190,7 @@ fn keys_inner(
             let mut all_have_keys = true;
             for &q in &fquants {
                 let input = qgm.quant(q).input;
-                let input_keys = keys_rec(qgm, catalog, input, visiting);
+                let input_keys = keys_rec(qgm, catalog, input, w);
                 if input_keys.is_empty() {
                     all_have_keys = false;
                     break;
@@ -348,7 +416,7 @@ fn select_const_cols(
     qgm: &Qgm,
     b: BoxId,
     eq_classes: &[BTreeSet<(u32, usize)>],
-    visiting: &mut BTreeSet<BoxId>,
+    w: &mut Walk<'_>,
 ) -> BTreeSet<(u32, usize)> {
     let qb = qgm.boxed(b);
     let fset = foreach_ids(qgm, b);
@@ -379,7 +447,7 @@ fn select_const_cols(
         if qgm.quant(q).kind != QuantKind::Foreach {
             continue;
         }
-        for c in const_outputs(qgm, qgm.quant(q).input, visiting) {
+        for c in consts_rec(qgm, qgm.quant(q).input, w) {
             consts.insert((q.0, c));
         }
     }
@@ -391,23 +459,21 @@ fn select_const_cols(
     consts
 }
 
-/// Output-column offsets of a box provably holding the same value in
-/// every row. Conservative: only selects and group-bys propagate
-/// constancy (an outer join NULL-pads, a set op mixes arms).
-fn const_outputs(qgm: &Qgm, b: BoxId, visiting: &mut BTreeSet<BoxId>) -> BTreeSet<usize> {
-    if !visiting.insert(b) {
-        return BTreeSet::new();
-    }
+fn consts_rec(qgm: &Qgm, b: BoxId, w: &mut Walk<'_>) -> BTreeSet<usize> {
+    w.step(b, |m| &mut m.consts, |w| consts_inner(qgm, b, w))
+}
+
+fn consts_inner(qgm: &Qgm, b: BoxId, w: &mut Walk<'_>) -> BTreeSet<usize> {
     let qb = qgm.boxed(b);
     let mut out = BTreeSet::new();
     match &qb.kind {
         BoxKind::BaseTable { .. } | BoxKind::SetOp(_) | BoxKind::OuterJoin(_) => {}
         BoxKind::GroupBy(g) => {
-            out = const_group_keys(qgm, b, g, visiting);
+            out = const_group_keys(qgm, b, g, w);
         }
         BoxKind::Select => {
             let eq = select_eq_classes(qgm, b);
-            let consts = select_const_cols(qgm, b, &eq, visiting);
+            let consts = select_const_cols(qgm, b, &eq, w);
             for (i, oc) in qb.columns.iter().enumerate() {
                 if expr_const(&oc.expr, &consts) {
                     out.insert(i);
@@ -415,7 +481,6 @@ fn const_outputs(qgm: &Qgm, b: BoxId, visiting: &mut BTreeSet<BoxId>) -> BTreeSe
             }
         }
     }
-    visiting.remove(&b);
     out
 }
 
@@ -426,7 +491,7 @@ fn const_group_keys(
     qgm: &Qgm,
     b: BoxId,
     g: &crate::boxes::GroupByBox,
-    visiting: &mut BTreeSet<BoxId>,
+    w: &mut Walk<'_>,
 ) -> BTreeSet<usize> {
     let qb = qgm.boxed(b);
     let mut consts: BTreeSet<(u32, usize)> = BTreeSet::new();
@@ -434,7 +499,7 @@ fn const_group_keys(
         if qgm.quant(q).kind != QuantKind::Foreach {
             continue;
         }
-        for c in const_outputs(qgm, qgm.quant(q).input, visiting) {
+        for c in consts_rec(qgm, qgm.quant(q).input, w) {
             consts.insert((q.0, c));
         }
     }
@@ -731,6 +796,33 @@ mod tests {
         assert!(!is_dup_free(&g, &cat, s));
         g.boxed_mut(s).distinct = DistinctMode::Enforce;
         assert!(is_dup_free(&g, &cat, s));
+    }
+
+    #[test]
+    fn memo_never_stores_a_result_cut_by_a_cycle() {
+        // a ⇄ b. Entered at `a`, the walk cuts the cycle at `a` inside
+        // `b`, so `b` looks keyless; entered at `b`, `b` maps a's
+        // enforced whole-row key. The memo must not keep the first
+        // answer for `b`.
+        let cat = catalog();
+        let mut g = Qgm::new();
+        let a = g.add_box("A", BoxKind::Select);
+        let b = g.add_box("B", BoxKind::Select);
+        let qa = g.add_quant(a, b, QuantKind::Foreach, "b");
+        let qb = g.add_quant(b, a, QuantKind::Foreach, "a");
+        g.boxed_mut(a).columns = vec![OutputCol {
+            name: "x".into(),
+            expr: ScalarExpr::col(qa, 0),
+        }];
+        g.boxed_mut(a).distinct = DistinctMode::Enforce;
+        g.boxed_mut(b).columns = vec![OutputCol {
+            name: "x".into(),
+            expr: ScalarExpr::col(qb, 0),
+        }];
+        let mut memo = KeysMemo::default();
+        assert_eq!(memo.output_keys(&g, &cat, a), output_keys(&g, &cat, a));
+        assert!(is_dup_free(&g, &cat, b));
+        assert_eq!(memo.output_keys(&g, &cat, b), output_keys(&g, &cat, b));
     }
 
     #[test]

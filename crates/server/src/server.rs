@@ -746,6 +746,7 @@ impl Session {
                     (s.name.clone(), us)
                 })
                 .collect(),
+            magic_refused: c.magic_refused.map(|code| code.to_string()),
         };
         if log.log(&record).is_ok() {
             self.metrics.slowlog_records.inc();
@@ -814,6 +815,10 @@ impl Session {
                                     rows: r.rows.len() as u64,
                                     duration_us,
                                     spans: Vec::new(),
+                                    magic_refused: plan
+                                        .prepared
+                                        .magic_refused
+                                        .map(|code| code.to_string()),
                                 };
                                 if log.log(&record).is_ok() {
                                     self.metrics.slowlog_records.inc();

@@ -5,7 +5,8 @@
 //! `starmagic_trace::json::parse`): the normalized SQL (the cache
 //! key's parameterized text — literals are already lifted to `?N`,
 //! so no user data beyond the query shape is written), the strategy,
-//! the cache verdict, per-phase spans, row count, and total duration.
+//! the cache verdict, per-phase spans, row count, total duration, and
+//! the L2xx code when the magic gate refused the magic plan.
 //!
 //! The threshold is an atomic, adjustable at runtime over the wire
 //! (`SET SLOWLOG <ms>` / `SET SLOWLOG OFF`) without a lock; the file
@@ -46,6 +47,9 @@ pub struct SlowRecord {
     /// Per-phase spans (`parse`, `bind`, `execute`, and on a cache
     /// miss the pipeline's), name → microseconds.
     pub spans: Vec<(String, u64)>,
+    /// The L2xx code for which the pipeline's magic gate refused the
+    /// plan's magic alternative (`null` in JSON when it did not).
+    pub magic_refused: Option<String>,
 }
 
 impl SlowRecord {
@@ -73,6 +77,10 @@ impl SlowRecord {
             ("rows".to_string(), num(self.rows)),
             ("duration_us".to_string(), num(self.duration_us)),
             ("spans".to_string(), spans),
+            (
+                "magic_refused".to_string(),
+                self.magic_refused.clone().map_or(Value::Null, Value::Str),
+            ),
         ])
     }
 }
@@ -207,6 +215,7 @@ mod tests {
             rows: 3,
             duration_us: us,
             spans: vec![("parse".to_string(), 10), ("execute".to_string(), us)],
+            magic_refused: None,
         }
     }
 

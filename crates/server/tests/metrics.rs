@@ -204,6 +204,7 @@ fn slowlog_writes_exactly_one_record_over_threshold() {
     assert_eq!(record.get("cache_hit"), Some(&Value::Bool(true)));
     assert!(record.get("duration_us").and_then(Value::as_f64).is_some());
     assert!(record.get("spans").is_some_and(Value::is_obj));
+    assert_eq!(record.get("magic_refused"), Some(&Value::Null));
 
     // The write was counted in the registry too.
     let doc = client.metrics_json().expect("METRICS JSON");

@@ -151,7 +151,10 @@ fn saturation_answers_busy_and_the_session_recovers() {
         ..ServerConfig::default()
     });
     let mut blocked = Client::connect(addr).expect("connect holder");
-    let holder = std::thread::spawn(move || blocked.query(SLOW_QUERY));
+    // The prober's first query can win the permit before the slow
+    // query arrives; the holder then waits out its own admission (a
+    // BUSY for the holder is not what this test probes).
+    let holder = std::thread::spawn(move || blocked.query_admitted(SLOW_QUERY));
 
     let mut client = Client::connect(addr).expect("connect prober");
     client.ping().expect("non-gated commands bypass admission");

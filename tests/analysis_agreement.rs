@@ -45,7 +45,8 @@ fn assert_agreement(engine: &starmagic::Engine, label: &str, sql: &str) {
             .unwrap_or_else(|e| panic!("{label} [{name}] prepared but failed to run: {e}"))
             .rows;
         rows.sort_by(Row::group_cmp);
-        if let Some(detail) = analysis_disagreement(&optimized, &rows) {
+        let analysis = optimized.analysis(engine.catalog());
+        if let Some(detail) = analysis_disagreement(&analysis, optimized.chosen().top(), &rows) {
             panic!("{label} [{name}] analysis disagrees with execution:\n{detail}");
         }
     }

@@ -332,8 +332,10 @@ proptest! {
                 PipelineOptions { force_magic: true, ..per_fire },
             )
             .unwrap();
-            prop_assert!(!original.lint.has_errors(), "{:?}", original.lint.diagnostics);
-            prop_assert!(!magic.lint.has_errors(), "{:?}", magic.lint.diagnostics);
+            for o in [&original, &magic] {
+                let lint = o.lint(engine.catalog());
+                prop_assert!(!lint.has_errors(), "{:?}", lint.diagnostics);
+            }
             let mut a = starmagic::exec::execute(original.chosen(), engine.catalog()).unwrap();
             let mut b = starmagic::exec::execute(magic.chosen(), engine.catalog()).unwrap();
             a.sort_by(starmagic_common::Row::group_cmp);
