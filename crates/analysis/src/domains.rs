@@ -192,7 +192,8 @@ pub struct BoxFacts {
     /// values drawn from a magic box's bindings.
     pub restricted: BTreeSet<usize>,
     /// Expression purity: every predicate and output expression of the
-    /// box passes the executor's `parallel_safe` criteria.
+    /// box is in the executor's vector-kernel subset
+    /// ([`crate::transfer::expr_pure`]).
     pub pure: bool,
     /// Duplicate-freedom verdict.
     pub dup_free: DupVerdict,

@@ -219,10 +219,9 @@ pub fn null_propagating(e: &ScalarExpr) -> bool {
     }
 }
 
-/// The executor's `parallel_safe` mirror: an expression whose
-/// evaluation may re-enter the executor (aggregates, quantified tests,
-/// references to non-Foreach quantifiers) pins its loop to the serial
-/// path.
+/// The executor's vector-kernel subset: an expression whose evaluation
+/// may re-enter the executor (aggregates, quantified tests, references
+/// to non-Foreach quantifiers) runs in the serial scalar stage.
 pub fn expr_pure(qgm: &Qgm, e: &ScalarExpr) -> bool {
     let mut ok = true;
     e.walk(&mut |x| match x {

@@ -1,26 +1,18 @@
-//! Micro-bench of the executor's hash-join building blocks: column
-//! index build and the probe loop, with the probe key freshly
-//! allocated per row versus reused from a scratch buffer — plus the
-//! columnar-vs-row comparison behind the batch executor: the same
-//! filter and hash-probe loops over `Vec<Row>` versus over a typed
-//! [`Column`] with selection-vector output.
+//! Micro-bench of hash-join building blocks: column index build and
+//! the probe loop, with the probe key freshly allocated per row versus
+//! reused from a scratch buffer.
 //!
-//! The executor's hash-join probe is its hottest allocation site: one
-//! key per (combo × probe column) unless the key vector is reused.
-//! This bench isolates that choice on the same data shapes the
-//! executor sees (`Value` keys, `Row` payloads) so the scratch-reuse
-//! win stays visible even when the end-to-end numbers move. The
-//! columnar groups isolate the other two wins the batch path banks
-//! on: predicates over a raw `&[i64]` instead of `Value` dispatch,
-//! and probes that append `u32` row ids (late materialization)
-//! instead of cloning `Row` payloads.
+//! A multi-column hash-join probe allocates one key per combination
+//! unless the key vector is reused. This bench isolates that choice on
+//! the same data shapes the executor sees (`Value` keys) so the
+//! scratch-reuse win stays visible even when the end-to-end numbers
+//! move.
 //!
 //! Run `cargo bench -p starmagic-bench --bench probe`.
 
 use std::collections::HashMap;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use starmagic::exec::{Batch, Column};
 use starmagic_common::{Row, Value};
 
 const BUILD_ROWS: usize = 20_000;
@@ -41,7 +33,7 @@ fn build_rows() -> Vec<Row> {
         .collect()
 }
 
-/// The executor's column index: key value → matching rows.
+/// A value-keyed column index: key value → matching rows.
 fn build_index(rows: &[Row]) -> HashMap<Value, Vec<Row>> {
     let mut index: HashMap<Value, Vec<Row>> = HashMap::new();
     for row in rows {
@@ -120,83 +112,5 @@ fn probe(c: &mut Criterion) {
     group.finish();
 }
 
-/// Columnar vs row: the same filter and probe over the same data,
-/// once through `Vec<Row>` + `Value` and once through typed columns
-/// + selection vectors.
-fn columnar_vs_row(c: &mut Criterion) {
-    let rows = build_rows();
-    let batch = Batch::from_rows(&rows);
-    let threshold = Value::Int(BUILD_ROWS as i64 / 2);
-
-    // Filter `payload < threshold` (50% selective).
-    let mut group = c.benchmark_group("columnar/filter");
-    group.sample_size(10);
-    group.bench_function("row_values", |b| {
-        b.iter(|| {
-            let mut keep: Vec<u32> = Vec::new();
-            for (i, r) in black_box(&rows).iter().enumerate() {
-                if r.get(1).sql_cmp(&threshold) == Some(std::cmp::Ordering::Less) {
-                    keep.push(i as u32);
-                }
-            }
-            keep
-        });
-    });
-    group.bench_function("typed_column", |b| {
-        let Column::Int64 { values, .. } = batch.column(1) else {
-            panic!("payload column should detect as Int64");
-        };
-        let th = BUILD_ROWS as i64 / 2;
-        b.iter(|| {
-            let mut keep: Vec<u32> = Vec::new();
-            for (i, &v) in black_box(values).iter().enumerate() {
-                if v < th {
-                    keep.push(i as u32);
-                }
-            }
-            keep
-        });
-    });
-    group.finish();
-
-    // Hash probe on the key column: Value-keyed map vending Row
-    // clones versus i64-keyed map vending row ids.
-    let mut group = c.benchmark_group("columnar/hash_probe");
-    group.sample_size(10);
-    group.bench_function("row_map", |b| {
-        let index = build_index(&rows);
-        b.iter(|| {
-            let mut out: Vec<Row> = Vec::new();
-            for i in 0..PROBES {
-                let key = Value::Int(i as i64 % (KEYS + 50));
-                if let Some(hits) = index.get(&key) {
-                    out.extend(hits.iter().cloned());
-                }
-            }
-            out.len()
-        });
-    });
-    group.bench_function("id_map", |b| {
-        let Column::Int64 { values, .. } = batch.column(0) else {
-            panic!("key column should detect as Int64");
-        };
-        let mut index: HashMap<i64, Vec<u32>> = HashMap::new();
-        for (i, &k) in values.iter().enumerate() {
-            index.entry(k).or_default().push(i as u32);
-        }
-        b.iter(|| {
-            let mut out: Vec<u32> = Vec::new();
-            for i in 0..PROBES {
-                let key = i as i64 % (KEYS + 50);
-                if let Some(hits) = index.get(&key) {
-                    out.extend_from_slice(hits);
-                }
-            }
-            out.len()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, probe, columnar_vs_row);
+criterion_group!(benches, probe);
 criterion_main!(benches);

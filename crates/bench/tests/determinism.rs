@@ -13,13 +13,12 @@
 //! executor only goes parallel above `PARALLEL_THRESHOLD` (512) rows,
 //! and 40 departments × 20 employees puts the employee scans and
 //! activity joins well past it, so these tests exercise the real
-//! morsel paths rather than the serial fallback.
+//! morsel paths rather than the inline serial run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use starmagic::exec::{execute_with_options, ExecOptions, ExecProfile, IndexCache};
 use starmagic::planner::feedback;
-use starmagic::MetricsRegistry as Registry;
 use starmagic::{Engine, Strategy};
 use starmagic_bench::{bench_engine, experiments};
 use starmagic_catalog::generator::Scale;
@@ -65,28 +64,13 @@ fn run(
     indexes: &IndexCache,
     threads: usize,
 ) -> (Vec<Row>, ExecProfile) {
-    run_columnar(engine, qgm, indexes, threads, true, Registry::noop())
-}
-
-/// [`run`] with the columnar knob and metrics registry explicit.
-fn run_columnar(
-    engine: &Engine,
-    qgm: &starmagic::qgm::Qgm,
-    indexes: &IndexCache,
-    threads: usize,
-    columnar: bool,
-    metrics: Registry,
-) -> (Vec<Row>, ExecProfile) {
     execute_with_options(
         qgm,
         engine.catalog(),
         indexes,
         ExecOptions {
-            timing: false,
             threads,
-            columnar,
-            metrics,
-            max_recursion: 10_000,
+            ..ExecOptions::default()
         },
     )
     .expect("execution")
@@ -155,62 +139,6 @@ fn engine_thread_knob_preserves_results_and_metrics() {
             }
         }
     }
-}
-
-/// The columnar axis: for every experiment × formulation, the columnar
-/// batch path at 1, 2, and 4 worker threads reproduces the serial
-/// **row** executor byte-for-byte — same rows in the same order, same
-/// per-box profile, same aggregates. The test also proves the columnar
-/// path actually engages (via the `exec.batch.batches` counter) so a
-/// regression that silently falls back everywhere cannot pass.
-#[test]
-fn columnar_matches_row_executor_byte_for_byte() {
-    let engine = bench_engine(det_scale()).unwrap();
-    let indexes = IndexCache::default();
-    let registry = Registry::enabled();
-    for exp in experiments() {
-        for (label, sql, strat) in formulations(&exp) {
-            let prepared = engine.prepare(sql, strat).unwrap();
-            let (base_rows, base_profile) =
-                run_columnar(&engine, &prepared.qgm, &indexes, 1, false, Registry::noop());
-            for threads in [1, 2, 4] {
-                let (rows, profile) = run_columnar(
-                    &engine,
-                    &prepared.qgm,
-                    &indexes,
-                    threads,
-                    true,
-                    registry.clone(),
-                );
-                assert_eq!(
-                    base_rows, rows,
-                    "experiment {} ({label}): columnar rows diverge from row executor at {threads} threads",
-                    exp.id
-                );
-                assert_eq!(
-                    base_profile, profile,
-                    "experiment {} ({label}): columnar profile diverges from row executor at {threads} threads",
-                    exp.id
-                );
-                assert_eq!(
-                    base_profile.aggregate(),
-                    profile.aggregate(),
-                    "experiment {} ({label}): columnar aggregates diverge at {threads} threads",
-                    exp.id
-                );
-            }
-        }
-    }
-    let batches = registry
-        .snapshot()
-        .counters
-        .get("exec.batch.batches")
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        batches > 0,
-        "columnar path never engaged across the whole suite"
-    );
 }
 
 /// The planner's cardinality-feedback loop sees the same numbers from

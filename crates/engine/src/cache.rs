@@ -465,7 +465,6 @@ mod tests {
                 cost_without_magic: 1.0,
                 cost_with_magic: 1.0,
                 threads: 1,
-                columnar: true,
             },
             param_count: 0,
             user_params: 0,

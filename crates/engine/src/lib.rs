@@ -123,10 +123,6 @@ pub struct Prepared {
     /// [`PipelineOptions::threads`]); [`Engine::execute_prepared`]
     /// honors it on every execution of this plan.
     pub threads: usize,
-    /// Whether eligible select boxes use the columnar batch path
-    /// (results are byte-identical either way; off mainly for the
-    /// fuzzer's cross-path oracle and A/B benchmarks).
-    pub columnar: bool,
 }
 
 /// A cached-path query run: the rows plus the request's spans and the
@@ -479,7 +475,6 @@ impl Engine {
             starmagic_exec::ExecOptions {
                 timing: false,
                 threads: prepared.threads,
-                columnar: prepared.columnar,
                 metrics: self.metrics.registry.clone(),
                 max_recursion: self.max_recursion,
             },
@@ -774,7 +769,6 @@ impl Engine {
             starmagic_exec::ExecOptions {
                 timing: false,
                 threads: threads.max(1),
-                columnar: true,
                 metrics: self.metrics.registry.clone(),
                 max_recursion: self.max_recursion,
             },
@@ -839,7 +833,6 @@ impl Engine {
             starmagic_exec::ExecOptions {
                 timing: true,
                 threads: self.threads,
-                columnar: true,
                 metrics: self.metrics.registry.clone(),
                 max_recursion: self.max_recursion,
             },
@@ -931,7 +924,6 @@ pub fn prepared_from(optimized: &Optimized, threads: usize) -> Prepared {
         cost_without_magic: optimized.cost_without_magic,
         cost_with_magic: optimized.cost_with_magic,
         threads: threads.max(1),
-        columnar: true,
     }
 }
 

@@ -18,8 +18,8 @@
 //!   gathered during late materialization, per-stage input rows, and
 //!   filter selectivity (also registered by the executor; kept out of
 //!   the deterministic `ExecProfile` on purpose — batch counts are a
-//!   property of which path ran, and the profile is pinned
-//!   byte-identical between the columnar and row executors)
+//!   property of how stages were dispatched, while the profile's
+//!   counters are the pinned work metric)
 //! * `planner.misestimate.<bucket>` — cardinality feedback buckets
 //!   (`within2x` … `beyond100x`)
 //! * `planner.magic_refused.<code>` — magic plans the pipeline's magic

@@ -16,7 +16,6 @@ use crate::agg::Accumulator;
 use crate::batch::Batch;
 use crate::like::like_match;
 use crate::metrics::Metrics;
-use crate::parallel::{run_morsels, PARALLEL_THRESHOLD};
 use crate::profile::{ExecProfile, FixpointStats};
 
 /// Execution knobs.
@@ -31,13 +30,6 @@ pub struct ExecOptions {
     /// results are concatenated in input order, so rows and counters
     /// stay byte-identical to serial at any setting.
     pub threads: usize,
-    /// Evaluate eligible select boxes through the columnar batch path
-    /// (vectorized filters and hash joins with late materialization).
-    /// On by default; rows, order, profile counters, and errors are
-    /// byte-identical either way — the fuzzer's columnar oracle and
-    /// the determinism suite pin that contract — so this knob exists
-    /// for differential testing and benchmarking, not correctness.
-    pub columnar: bool,
     /// Metrics registry for morsel-scheduling telemetry (batch counts
     /// and queue depth). These live **outside** [`ExecProfile`] on
     /// purpose: the profile is pinned byte-identical across thread
@@ -58,7 +50,6 @@ impl Default for ExecOptions {
         ExecOptions {
             timing: false,
             threads: 1,
-            columnar: true,
             metrics: Registry::noop(),
             max_recursion: 10_000,
         }
@@ -72,46 +63,18 @@ pub fn execute(qgm: &Qgm, catalog: &Catalog) -> Result<Vec<Row>> {
 
 /// Evaluate the graph's top box; returns rows plus work metrics.
 pub fn execute_with_metrics(qgm: &Qgm, catalog: &Catalog) -> Result<(Vec<Row>, Metrics)> {
-    let indexes = IndexCache::default();
-    execute_with_indexes(qgm, catalog, &indexes)
-}
-
-/// Evaluate with a caller-owned index cache. Persistent callers (the
-/// engine) share one cache across executions, modeling pre-existing
-/// database indexes: building is amortized away exactly as on a real
-/// system.
-pub fn execute_with_indexes(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    indexes: &IndexCache,
-) -> Result<(Vec<Row>, Metrics)> {
-    let (rows, profile) = execute_profiled(qgm, catalog, indexes, false)?;
+    let (rows, profile) =
+        execute_with_options(qgm, catalog, &IndexCache::default(), ExecOptions::default())?;
     Ok((rows, profile.aggregate()))
 }
 
-/// Evaluate and return the per-box execution profile. With `timing`
-/// the profile also carries inclusive per-box wall time; without it no
-/// clock is ever read, so the counters stay deterministic.
-pub fn execute_profiled(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    indexes: &IndexCache,
-    timing: bool,
-) -> Result<(Vec<Row>, ExecProfile)> {
-    execute_with_options(
-        qgm,
-        catalog,
-        indexes,
-        ExecOptions {
-            timing,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Evaluate with explicit execution options (timing, worker threads).
-/// This is the full-control entry point the engine uses; the narrower
-/// entry points above are serial shorthands for it.
+/// Evaluate with explicit execution options (timing, worker threads)
+/// and a caller-owned index cache. Persistent callers (the engine)
+/// share one cache across executions, modeling pre-existing database
+/// indexes: building is amortized away exactly as on a real system.
+/// With `timing` the profile also carries inclusive per-box wall
+/// time; without it no clock is ever read, so the counters stay
+/// deterministic.
 pub fn execute_with_options(
     qgm: &Qgm,
     catalog: &Catalog,
@@ -123,7 +86,6 @@ pub fn execute_with_options(
         exec.profile = ExecProfile::with_timing();
     }
     exec.threads = opts.threads.max(1);
-    exec.columnar = opts.columnar;
     exec.shared_indexes = Some(indexes);
     exec.max_recursion = opts.max_recursion.max(1);
     if !opts.metrics.is_noop() {
@@ -142,29 +104,22 @@ pub fn execute_with_options(
     Ok((rows, exec.profile))
 }
 
-/// A hash index on one base-table column. `Arc`, not `Rc`: indexes are
-/// probed from inside parallel regions.
-pub type ColumnIndex = Arc<HashMap<Value, Vec<Row>>>;
-
 /// Semi-join index for quantified tests: non-NULL-keyed buckets plus
 /// the NULL-keyed remainder (needed for Unknown accounting).
 pub type SemiJoinIndex = Arc<(HashMap<Vec<Value>, Vec<Row>>, Vec<Row>)>;
 
 /// A hash index mapping a base-table column value to the table row
-/// ids holding it — the columnar executor's counterpart of
-/// [`ColumnIndex`], probing into a shared [`Batch`] instead of cloning
-/// rows.
+/// ids holding it, probed into the table's shared [`Batch`]. `Arc`,
+/// not `Rc`: indexes are probed from inside parallel regions.
 pub type IdIndex = Arc<HashMap<Value, Vec<u32>>>;
 
-/// A shareable cache of base-table access structures: row-keyed column
-/// indexes for the row executor, plus columnar batches and id-keyed
-/// indexes for the vectorized path. Interior mutability is a `Mutex`
-/// (taken only on lookup/insert of whole entries, never per row) so
-/// the cache can be shared across engine threads. The engine replaces
-/// the whole cache on DDL, invalidating all three maps together.
+/// A shareable cache of base-table access structures: columnar
+/// batches and id-keyed column indexes. Interior mutability is a
+/// `Mutex` (taken only on lookup/insert of whole entries, never per
+/// row) so the cache can be shared across engine threads. The engine
+/// replaces the whole cache on DDL, invalidating both maps together.
 #[derive(Default)]
 pub struct IndexCache {
-    map: Mutex<HashMap<(String, usize), ColumnIndex>>,
     batches: Mutex<HashMap<String, Arc<Batch>>>,
     ids: Mutex<HashMap<(String, usize), IdIndex>>,
 }
@@ -186,7 +141,7 @@ impl<'f> Frame<'f> {
         }
     }
 
-    fn extended<'a>(&'a self, quants: &'a [QuantId], rows: &'a [Row]) -> Frame<'a> {
+    pub(crate) fn extended<'a>(&'a self, quants: &'a [QuantId], rows: &'a [Row]) -> Frame<'a> {
         Frame {
             parent: Some(self),
             quants,
@@ -212,8 +167,6 @@ pub struct Executor<'a> {
     pub profile: ExecProfile,
     /// Worker threads for data-parallel loops; 1 = serial.
     pub(crate) threads: usize,
-    /// Whether eligible select boxes go through the columnar path.
-    pub(crate) columnar: bool,
     cache: HashMap<BoxId, Arc<Vec<Row>>>,
     correlated: HashMap<BoxId, bool>,
     /// Boxes that participate in a cycle (recursive queries).
@@ -231,11 +184,10 @@ pub struct Executor<'a> {
     /// Iteration cap for semi-naive fixpoints (see
     /// [`ExecOptions::max_recursion`]).
     max_recursion: usize,
-    /// Lazily built hash indexes on base-table columns. The benchmark
-    /// database is assumed fully indexed (as DB2's was): building is
-    /// not charged to the query; probes charge only the matched rows.
-    indexes: HashMap<(String, usize), ColumnIndex>,
-    /// Optional cross-execution index cache supplied by the caller.
+    /// Optional cross-execution index cache supplied by the caller. The
+    /// benchmark database is assumed fully indexed (as DB2's was):
+    /// building an index is not charged to the query; probes charge
+    /// only the matched rows.
     shared_indexes: Option<&'a IndexCache>,
     /// Hash semi-join indexes for quantified tests: (quantifier,
     /// key columns) → (hash of non-NULL-key rows, rows with a NULL in
@@ -245,21 +197,19 @@ pub struct Executor<'a> {
     /// and validated against the cached row `Arc` (fixpoint rounds
     /// swap the accumulator, which invalidates the batch too).
     batch_cache: HashMap<BoxId, (Arc<Vec<Row>>, Arc<Batch>)>,
-    /// Lazily built columnar views of base tables (cf. [`Executor::indexes`]).
+    /// Lazily built columnar views of base tables.
     table_batches: HashMap<String, Arc<Batch>>,
     /// Lazily built id-keyed column indexes for columnar INL probes.
     id_indexes: HashMap<(String, usize), IdIndex>,
-    /// Parallel-loop dispatches through [`run_morsels`]. Noop by
+    /// Parallel-loop dispatches through [`crate::parallel::run_batches`]. Noop by
     /// default; see [`ExecOptions::metrics`] for why these stay out
     /// of the profile.
     morsel_runs: starmagic_metrics::Counter,
     /// Morsel-queue depth (morsels per parallel dispatch).
     morsel_depth: starmagic_metrics::Histogram,
-    /// Columnar stage dispatches (in [`crate::parallel::MORSEL_ROWS`]
+    /// Select-stage dispatches (in [`crate::parallel::MORSEL_ROWS`]
     /// units). Like the morsel metrics, batch telemetry lives outside
-    /// [`ExecProfile`]: the profile is pinned byte-identical between
-    /// the columnar and row paths, while batch counts are a property
-    /// of which path ran.
+    /// [`ExecProfile`], whose counters are the pinned work metric.
     pub(crate) batch_runs: starmagic_metrics::Counter,
     /// Rows gathered during late materialization.
     pub(crate) batch_gather: starmagic_metrics::Counter,
@@ -286,7 +236,6 @@ impl<'a> Executor<'a> {
             catalog,
             profile: ExecProfile::default(),
             threads: 1,
-            columnar: true,
             cache: HashMap::new(),
             correlated: HashMap::new(),
             recursive,
@@ -295,7 +244,6 @@ impl<'a> Executor<'a> {
             no_cache: BTreeSet::new(),
             max_fixpoint_rounds: 100_000,
             max_recursion: 10_000,
-            indexes: HashMap::new(),
             shared_indexes: None,
             quantified_indexes: HashMap::new(),
             batch_cache: HashMap::new(),
@@ -483,42 +431,8 @@ impl<'a> Executor<'a> {
         }))
     }
 
-    /// Fetch (building lazily) the hash index on one base-table column.
-    fn table_index(&mut self, table: &str, col: usize) -> Result<ColumnIndex> {
-        let key = (table.to_string(), col);
-        if let Some(idx) = self.indexes.get(&key) {
-            return Ok(idx.clone());
-        }
-        if let Some(shared) = self.shared_indexes {
-            if let Some(idx) = shared.map.lock().expect("index cache poisoned").get(&key) {
-                let idx = idx.clone();
-                self.indexes.insert(key, idx.clone());
-                return Ok(idx);
-            }
-        }
-        let t = self.catalog.table(table)?;
-        let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
-        for r in t.rows() {
-            let v = r.get(col);
-            if v.is_null() {
-                continue; // NULL keys never match an equality probe
-            }
-            map.entry(v.clone()).or_default().push(r.clone());
-        }
-        let idx = Arc::new(map);
-        if let Some(shared) = self.shared_indexes {
-            shared
-                .map
-                .lock()
-                .expect("index cache poisoned")
-                .insert(key.clone(), idx.clone());
-        }
-        self.indexes.insert(key, idx.clone());
-        Ok(idx)
-    }
-
     /// Fetch (building lazily) the columnar view of a base table,
-    /// shared across executions via [`IndexCache`] like [`Executor::table_index`].
+    /// shared across executions via [`IndexCache`].
     pub(crate) fn table_batch(&mut self, table: &str) -> Result<Arc<Batch>> {
         if let Some(batch) = self.table_batches.get(table) {
             return Ok(batch.clone());
@@ -549,8 +463,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Fetch (building lazily) the row-id index on one base-table
-    /// column — the columnar mirror of [`Executor::table_index`],
-    /// mapping key values to row positions instead of row clones.
+    /// column, mapping key values to row positions in the table's
+    /// batch. Shared across executions via [`IndexCache`].
     pub(crate) fn table_id_index(&mut self, table: &str, col: usize) -> Result<IdIndex> {
         let key = (table.to_string(), col);
         if let Some(idx) = self.id_indexes.get(&key) {
@@ -597,29 +511,6 @@ impl<'a> Executor<'a> {
         let batch = Arc::new(Batch::from_rows(rows));
         self.batch_cache.insert(bx, (rows.clone(), batch.clone()));
         batch
-    }
-
-    /// Flush one columnar select's batch telemetry. Called only after
-    /// the columnar path succeeds (a fallback run contributes nothing),
-    /// and free when metrics are off.
-    pub(crate) fn note_batch_stats(
-        &self,
-        batches: u64,
-        gather: u64,
-        rows: &[u64],
-        selectivity: &[u64],
-    ) {
-        if self.batch_runs.is_noop() {
-            return;
-        }
-        self.batch_runs.add(batches);
-        self.batch_gather.add(gather);
-        for &r in rows {
-            self.batch_rows.record(r);
-        }
-        for &s in selectivity {
-            self.batch_selectivity.record(s);
-        }
     }
 
     pub(crate) fn is_correlated(&mut self, b: BoxId) -> bool {
@@ -1004,14 +895,7 @@ impl<'a> Executor<'a> {
                 self.profile.entry(b).rows_scanned += t.row_count() as u64;
                 Ok(t.rows().to_vec())
             }
-            BoxKind::Select => {
-                if self.columnar {
-                    if let Some(rows) = crate::columnar::try_eval_select(self, b, frame)? {
-                        return Ok(rows);
-                    }
-                }
-                self.eval_select(b, frame)
-            }
+            BoxKind::Select => crate::columnar::run(self, b, frame),
             BoxKind::GroupBy(_) => self.eval_groupby(b, frame),
             BoxKind::SetOp(_) => self.eval_setop(b, frame),
             BoxKind::OuterJoin(_) => self.eval_outerjoin(b, frame),
@@ -1072,401 +956,6 @@ impl<'a> Executor<'a> {
         }
         self.profile.entry(b).rows_produced += out.len() as u64;
         Ok(out)
-    }
-
-    // ---- select boxes -------------------------------------------------
-
-    fn eval_select(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Vec<Row>> {
-        let qb = self.qgm.boxed(b);
-        let order = self.qgm.join_order(b);
-        let local_f: BTreeSet<QuantId> = order.iter().copied().collect();
-        let local_sub: BTreeSet<QuantId> = qb
-            .quants
-            .iter()
-            .copied()
-            .filter(|&q| !self.qgm.quant(q).kind.is_foreach())
-            .collect();
-
-        // Classify predicates: join-time (only local Foreach refs,
-        // no subquery refs) vs residual.
-        let preds = qb.predicates.clone();
-        let mut applied = vec![false; preds.len()];
-        let joinable: Vec<bool> = preds
-            .iter()
-            .map(|p| p.quantifiers().iter().all(|q| !local_sub.contains(q)))
-            .collect();
-
-        let mut bound: Vec<QuantId> = Vec::new();
-        let mut combos: Vec<Vec<Row>> = vec![Vec::new()];
-
-        for &q in &order {
-            let child = self.qgm.quant(q).input;
-            let child_correlated = self.is_correlated(child);
-
-            // Equality predicates usable for a hash join with q.
-            let mut hash_preds: Vec<(ScalarExpr, ScalarExpr)> = Vec::new(); // (probe, build)
-            if !child_correlated {
-                for (i, p) in preds.iter().enumerate() {
-                    if applied[i] || !joinable[i] {
-                        continue;
-                    }
-                    if let Some((l, r)) = p.as_equality() {
-                        let lq: Vec<QuantId> = l
-                            .quantifiers()
-                            .into_iter()
-                            .filter(|x| local_f.contains(x))
-                            .collect();
-                        let rq: Vec<QuantId> = r
-                            .quantifiers()
-                            .into_iter()
-                            .filter(|x| local_f.contains(x))
-                            .collect();
-                        let (probe, build) =
-                            if lq.iter().all(|x| bound.contains(x)) && rq == vec![q] {
-                                (l.clone(), r.clone())
-                            } else if rq.iter().all(|x| bound.contains(x)) && lq == vec![q] {
-                                (r.clone(), l.clone())
-                            } else {
-                                continue;
-                            };
-                        hash_preds.push((probe, build));
-                        applied[i] = true;
-                    }
-                }
-            }
-
-            // Index-nested-loop: when the child is a stored table with
-            // an equality on one of its columns and the outer side is
-            // small relative to the table, probe the column index
-            // instead of scanning — the access-path choice a System-R
-            // optimizer would make, and the reason correlated
-            // evaluation is fast on selective outers (Table 1, Exp A).
-            let index_plan: Option<(String, usize, usize)> = if hash_preds.is_empty() {
-                None
-            } else if let BoxKind::BaseTable { table } = &self.qgm.boxed(child).kind {
-                let trows = self
-                    .catalog
-                    .table(table)
-                    .map_or(0, starmagic_catalog::Table::row_count);
-                if combos.len().saturating_mul(4) < trows.max(1) {
-                    hash_preds
-                        .iter()
-                        .position(|(_, build)| {
-                            matches!(build, ScalarExpr::ColRef { quant, .. } if *quant == q)
-                        })
-                        .map(|i| {
-                            let ScalarExpr::ColRef { col, .. } = &hash_preds[i].1 else {
-                                unreachable!("position matched ColRef")
-                            };
-                            (table.clone(), *col, i)
-                        })
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-
-            let mut next: Vec<Vec<Row>> = Vec::new();
-            if let Some((table, col, pred_idx)) = index_plan {
-                let index = self.table_index(&table, col)?;
-                let rest: Vec<(ScalarExpr, ScalarExpr)> = hash_preds
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != pred_idx)
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                let cq = [q];
-                let pure = parallel_safe(self.qgm, &hash_preds[pred_idx].0)
-                    && rest
-                        .iter()
-                        .all(|(p, bld)| parallel_safe(self.qgm, p) && parallel_safe(self.qgm, bld));
-                if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
-                    let probe_expr = &hash_preds[pred_idx].0;
-                    let bound_q: &[QuantId] = &bound;
-                    self.note_morsel_run(combos.len());
-                    let (par, scratch) = run_morsels(self.threads, &combos, |morsel, profile| {
-                        let mut out: Vec<Vec<Row>> = Vec::new();
-                        for combo in morsel {
-                            let cframe = frame.extended(bound_q, combo);
-                            let key = eval_pure(probe_expr, &cframe)?;
-                            if key.is_null() {
-                                continue;
-                            }
-                            let Some(matches) = index.get(&key) else {
-                                continue;
-                            };
-                            profile.entry(child).rows_scanned += matches.len() as u64;
-                            profile.entry(b).rows_in += matches.len() as u64;
-                            'probe: for m in matches {
-                                for (probe, build) in &rest {
-                                    let pv = eval_pure(probe, &cframe)?;
-                                    let mrows = [m.clone()];
-                                    let mframe = frame.extended(&cq, &mrows);
-                                    let bv = eval_pure(build, &mframe)?;
-                                    if !pv.sql_eq(&bv).passes() {
-                                        continue 'probe;
-                                    }
-                                }
-                                let mut c = combo.clone();
-                                c.push(m.clone());
-                                out.push(c);
-                            }
-                        }
-                        Ok(out)
-                    })?;
-                    next = par;
-                    self.profile.merge(&scratch);
-                } else {
-                    for combo in &combos {
-                        let cframe = frame.extended(&bound, combo);
-                        let key = self.eval_expr(&hash_preds[pred_idx].0, &cframe)?;
-                        if key.is_null() {
-                            continue;
-                        }
-                        let Some(matches) = index.get(&key) else {
-                            continue;
-                        };
-                        // Probed rows are charged to the base table being
-                        // probed, not the probing select box.
-                        self.profile.entry(child).rows_scanned += matches.len() as u64;
-                        self.profile.entry(b).rows_in += matches.len() as u64;
-                        'probe: for m in matches {
-                            // Remaining equality predicates filter here.
-                            for (probe, build) in &rest {
-                                let pv = self.eval_expr(probe, &cframe)?;
-                                let mrows = [m.clone()];
-                                let mframe = frame.extended(&cq, &mrows);
-                                let bv = self.eval_expr(build, &mframe)?;
-                                if !pv.sql_eq(&bv).passes() {
-                                    continue 'probe;
-                                }
-                            }
-                            let mut c = combo.clone();
-                            c.push(m.clone());
-                            next.push(c);
-                        }
-                    }
-                }
-            } else if !hash_preds.is_empty() {
-                // Hash join: build on the child once, probe per combo.
-                let child_rows = self.eval_box(child, frame)?;
-                self.profile.entry(b).rows_in += child_rows.len() as u64;
-                let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-                let cq = [q];
-                'build: for row in child_rows.iter() {
-                    let crows = [row.clone()];
-                    let cframe = frame.extended(&cq, &crows);
-                    let mut key = Vec::with_capacity(hash_preds.len());
-                    for (_, build) in &hash_preds {
-                        let v = self.eval_expr(build, &cframe)?;
-                        if v.is_null() {
-                            continue 'build; // NULL keys never join
-                        }
-                        key.push(v);
-                    }
-                    table.entry(key).or_default().push(row.clone());
-                }
-                let pure = hash_preds.iter().all(|(p, _)| parallel_safe(self.qgm, p));
-                if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
-                    let table = &table;
-                    let hash_preds = &hash_preds;
-                    let bound_q: &[QuantId] = &bound;
-                    self.note_morsel_run(combos.len());
-                    let (par, scratch) = run_morsels(self.threads, &combos, |morsel, _| {
-                        let mut out: Vec<Vec<Row>> = Vec::new();
-                        // Scratch probe key, reused across the morsel's rows.
-                        let mut key: Vec<Value> = Vec::with_capacity(hash_preds.len());
-                        'combo: for combo in morsel {
-                            let cframe = frame.extended(bound_q, combo);
-                            key.clear();
-                            for (probe, _) in hash_preds {
-                                let v = eval_pure(probe, &cframe)?;
-                                if v.is_null() {
-                                    continue 'combo;
-                                }
-                                key.push(v);
-                            }
-                            if let Some(matches) = table.get(&key) {
-                                for m in matches {
-                                    let mut c = combo.clone();
-                                    c.push(m.clone());
-                                    out.push(c);
-                                }
-                            }
-                        }
-                        Ok(out)
-                    })?;
-                    next = par;
-                    self.profile.merge(&scratch);
-                } else {
-                    // Scratch probe key, reused across combos instead of
-                    // allocated per probe row (this loop is the hottest
-                    // allocation site in the join path).
-                    let mut key: Vec<Value> = Vec::with_capacity(hash_preds.len());
-                    'probe_combo: for combo in &combos {
-                        let cframe = frame.extended(&bound, combo);
-                        key.clear();
-                        for (probe, _) in &hash_preds {
-                            let v = self.eval_expr(probe, &cframe)?;
-                            if v.is_null() {
-                                continue 'probe_combo;
-                            }
-                            key.push(v);
-                        }
-                        if let Some(matches) = table.get(&key) {
-                            for m in matches {
-                                let mut c = combo.clone();
-                                c.push(m.clone());
-                                next.push(c);
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Nested loop; the child may be correlated, in which
-                // case it is re-evaluated per combo (tuple-at-a-time).
-                let prefetched = if child_correlated {
-                    None
-                } else {
-                    let rows = self.eval_box(child, frame)?;
-                    self.profile.entry(b).rows_in += rows.len() as u64;
-                    Some(rows)
-                };
-                for combo in &combos {
-                    let child_rows = match &prefetched {
-                        Some(rows) => rows.clone(),
-                        None => {
-                            let cframe = frame.extended(&bound, combo);
-                            let rows = self.eval_box(child, &cframe)?;
-                            self.profile.entry(b).rows_in += rows.len() as u64;
-                            rows
-                        }
-                    };
-                    for row in child_rows.iter() {
-                        let mut c = combo.clone();
-                        c.push(row.clone());
-                        next.push(c);
-                    }
-                }
-            }
-            bound.push(q);
-
-            // Apply every predicate that just became available.
-            let mut filtered: Vec<Vec<Row>> = Vec::with_capacity(next.len());
-            let ready: Vec<usize> = preds
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| {
-                    !applied[*i]
-                        && joinable[*i]
-                        && p.quantifiers()
-                            .iter()
-                            .all(|x| !local_f.contains(x) || bound.contains(x))
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if ready.is_empty() {
-                filtered = next;
-            } else {
-                let pure = ready.iter().all(|&i| parallel_safe(self.qgm, &preds[i]));
-                if self.threads > 1 && next.len() >= PARALLEL_THRESHOLD && pure {
-                    let preds = &preds;
-                    let ready = &ready;
-                    let bound_q: &[QuantId] = &bound;
-                    self.note_morsel_run(next.len());
-                    let (kept, scratch) = run_morsels(self.threads, &next, |morsel, _| {
-                        let mut out: Vec<Vec<Row>> = Vec::new();
-                        'row: for combo in morsel {
-                            let cframe = frame.extended(bound_q, combo);
-                            for &i in ready {
-                                let v = eval_pure(&preds[i], &cframe)?;
-                                if !truth_of(&v).passes() {
-                                    continue 'row;
-                                }
-                            }
-                            out.push(combo.clone());
-                        }
-                        Ok(out)
-                    })?;
-                    filtered = kept;
-                    self.profile.merge(&scratch);
-                } else {
-                    'row: for combo in next {
-                        let cframe = frame.extended(&bound, &combo);
-                        for &i in &ready {
-                            let v = self.eval_expr(&preds[i], &cframe)?;
-                            if !truth_of(&v).passes() {
-                                continue 'row;
-                            }
-                        }
-                        filtered.push(combo);
-                    }
-                }
-                for &i in &ready {
-                    applied[i] = true;
-                }
-            }
-            combos = filtered;
-            self.profile.entry(b).rows_produced += combos.len() as u64;
-        }
-
-        // Residual predicates: anything not yet applied (subquery
-        // tests, purely-correlated predicates, ...).
-        let residual: Vec<usize> = (0..preds.len()).filter(|&i| !applied[i]).collect();
-        let pure = residual.iter().all(|&i| parallel_safe(self.qgm, &preds[i]))
-            && qb.columns.iter().all(|c| parallel_safe(self.qgm, &c.expr));
-        let mut result: Vec<Row>;
-        if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
-            let preds = &preds;
-            let residual = &residual;
-            let columns = &qb.columns;
-            let bound_q: &[QuantId] = &bound;
-            self.note_morsel_run(combos.len());
-            let (rows, scratch) = run_morsels(self.threads, &combos, |morsel, _| {
-                let mut out: Vec<Row> = Vec::new();
-                'combo: for combo in morsel {
-                    let cframe = frame.extended(bound_q, combo);
-                    for &i in residual {
-                        let v = eval_pure(&preds[i], &cframe)?;
-                        if !truth_of(&v).passes() {
-                            continue 'combo;
-                        }
-                    }
-                    let mut vals = Vec::with_capacity(columns.len());
-                    for c in columns {
-                        vals.push(eval_pure(&c.expr, &cframe)?);
-                    }
-                    out.push(Row::new(vals));
-                }
-                Ok(out)
-            })?;
-            result = rows;
-            self.profile.merge(&scratch);
-        } else {
-            result = Vec::with_capacity(combos.len());
-            'combo: for combo in &combos {
-                let cframe = frame.extended(&bound, combo);
-                for &i in &residual {
-                    let v = self.eval_expr(&preds[i], &cframe)?;
-                    if !truth_of(&v).passes() {
-                        continue 'combo;
-                    }
-                }
-                // Project.
-                let mut out = Vec::with_capacity(qb.columns.len());
-                for c in &qb.columns {
-                    out.push(self.eval_expr(&c.expr, &cframe)?);
-                }
-                result.push(Row::new(out));
-            }
-        }
-        self.profile.entry(b).rows_produced += result.len() as u64;
-
-        if qb.distinct.needs_dedup() {
-            result = dedupe(result);
-        }
-        Ok(result)
     }
 
     // ---- group-by boxes -------------------------------------------------
@@ -1859,135 +1348,6 @@ pub(crate) fn truth_to_value(t: Truth) -> Value {
         Truth::True => Value::Bool(true),
         Truth::False => Value::Bool(false),
         Truth::Unknown => Value::Null,
-    }
-}
-
-/// May `e` be evaluated inside a parallel region? Parallel workers
-/// have no access to the executor, so the expression must need nothing
-/// beyond frame lookups: no quantified subquery tests, no aggregates,
-/// and every column reference bound to a Foreach quantifier (a Scalar
-/// quantifier's column evaluates a subquery on demand; Existential and
-/// Universal quantifiers re-enter the executor through their tests).
-/// Anything unsafe falls back to the serial loop, which is always
-/// correct — this check only gates the optimization.
-fn parallel_safe(qgm: &Qgm, e: &ScalarExpr) -> bool {
-    let mut ok = true;
-    e.walk(&mut |x| match x {
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => ok = false,
-        ScalarExpr::ColRef { quant, .. } if !qgm.quant(*quant).kind.is_foreach() => ok = false,
-        _ => {}
-    });
-    ok
-}
-
-/// Executor-free expression evaluation for the parallel loops. Exactly
-/// mirrors [`Executor::eval_expr`] on the pure subset admitted by
-/// [`parallel_safe`] — any divergence between the two would break the
-/// byte-identical determinism contract, which is why the determinism
-/// suite runs every benchmark query at several thread counts. Reaching
-/// an impure variant here is an engine bug, not a user error.
-fn eval_pure(e: &ScalarExpr, frame: &Frame<'_>) -> Result<Value> {
-    match e {
-        ScalarExpr::ColRef { quant, col } => frame
-            .lookup(*quant)
-            .map(|row| row.get(*col).clone())
-            .ok_or_else(|| Error::internal(format!("unbound quantifier {quant} in parallel loop"))),
-        ScalarExpr::Literal(v) => Ok(v.clone()),
-        ScalarExpr::Param(i) => Err(Error::internal(format!(
-            "unbound parameter ?{} reached the executor",
-            i + 1
-        ))),
-        ScalarExpr::Bin { op, left, right } => eval_bin_pure(*op, left, right, frame),
-        ScalarExpr::Neg(x) => {
-            let v = eval_pure(x, frame)?;
-            if v.is_null() {
-                Ok(Value::Null)
-            } else {
-                Value::Int(0).arith('-', &v)
-            }
-        }
-        ScalarExpr::Not(x) => {
-            let v = eval_pure(x, frame)?;
-            Ok(truth_to_value(truth_of(&v).not()))
-        }
-        ScalarExpr::IsNull { expr, negated } => {
-            let v = eval_pure(expr, frame)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        ScalarExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval_pure(expr, frame)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(Error::execution(format!("LIKE on non-string {other}"))),
-            }
-        }
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => Err(Error::internal(
-            "impure expression reached a parallel loop".to_string(),
-        )),
-    }
-}
-
-fn eval_bin_pure(
-    op: BinOp,
-    left: &ScalarExpr,
-    right: &ScalarExpr,
-    frame: &Frame<'_>,
-) -> Result<Value> {
-    match op {
-        BinOp::And => {
-            let l = truth_of(&eval_pure(left, frame)?);
-            // Short circuit only on False (Unknown must still look
-            // right to distinguish False from Unknown).
-            if l == Truth::False {
-                return Ok(Value::Bool(false));
-            }
-            let r = truth_of(&eval_pure(right, frame)?);
-            Ok(truth_to_value(l.and(r)))
-        }
-        BinOp::Or => {
-            let l = truth_of(&eval_pure(left, frame)?);
-            if l == Truth::True {
-                return Ok(Value::Bool(true));
-            }
-            let r = truth_of(&eval_pure(right, frame)?);
-            Ok(truth_to_value(l.or(r)))
-        }
-        BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let l = eval_pure(left, frame)?;
-            let r = eval_pure(right, frame)?;
-            let t = match op {
-                BinOp::Eq => l.sql_eq(&r),
-                BinOp::Neq => l.sql_eq(&r).not(),
-                _ => match l.sql_cmp(&r) {
-                    None => Truth::Unknown,
-                    Some(ord) => match op {
-                        BinOp::Lt => (ord == std::cmp::Ordering::Less).into(),
-                        BinOp::Le => (ord != std::cmp::Ordering::Greater).into(),
-                        BinOp::Gt => (ord == std::cmp::Ordering::Greater).into(),
-                        BinOp::Ge => (ord != std::cmp::Ordering::Less).into(),
-                        _ => unreachable!(),
-                    },
-                },
-            };
-            Ok(truth_to_value(t))
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            let l = eval_pure(left, frame)?;
-            let r = eval_pure(right, frame)?;
-            let ch = match op {
-                BinOp::Add => '+',
-                BinOp::Sub => '-',
-                BinOp::Mul => '*',
-                BinOp::Div => '/',
-                _ => unreachable!(),
-            };
-            l.arith(ch, &r)
-        }
     }
 }
 
@@ -2721,8 +2081,9 @@ mod access_path_tests {
         )
         .unwrap();
         let cache = IndexCache::default();
-        let (_, m1) = execute_with_indexes(&g, &cat, &cache).unwrap();
-        let (_, m2) = execute_with_indexes(&g, &cat, &cache).unwrap();
-        assert_eq!(m1, m2, "metrics identical with a warm shared cache");
+        let run = || execute_with_options(&g, &cat, &cache, ExecOptions::default()).unwrap();
+        let (_, p1) = run();
+        let (_, p2) = run();
+        assert_eq!(p1, p2, "profiles identical with a warm shared cache");
     }
 }

@@ -12,9 +12,14 @@
 //!   row, with *no* memoization across bindings — the behaviour of the
 //!   paper's "Correlated" baseline, whose instability Table 1
 //!   demonstrates.
-//! * Hash joins are used whenever equality predicates connect the next
-//!   quantifier to already-bound ones (NULL join keys never match);
-//!   otherwise nested loops with early predicate application.
+//! * Select boxes run through one batch pipeline (`columnar`): hash
+//!   joins whenever equality predicates connect the next quantifier
+//!   to already-bound ones (NULL join keys never match), index nested
+//!   loops into stored tables for small outers, otherwise nested loops
+//!   with early predicate application — all over id vectors into
+//!   shared column batches, with vectorized predicates. What does not
+//!   vectorize (subquery predicates, scalar subqueries) runs in a
+//!   scalar stage of the same pipeline.
 //! * Aggregation, duplicate elimination, and set operations follow SQL
 //!   semantics exactly (three-valued logic in predicates, NULLs equal
 //!   for grouping, `COUNT`=0 vs `SUM`=NULL on empty input, bag
@@ -41,8 +46,7 @@ mod vector;
 
 pub use batch::{Batch, Bitmap, Column};
 pub use executor::{
-    execute, execute_profiled, execute_with_indexes, execute_with_metrics, execute_with_options,
-    ExecOptions, Executor, IdIndex, IndexCache,
+    execute, execute_with_metrics, execute_with_options, ExecOptions, Executor, IdIndex, IndexCache,
 };
 pub use metrics::Metrics;
 pub use profile::{BoxProfile, ExecProfile};

@@ -1,8 +1,8 @@
 //! Morsel-driven parallel runner for the executor's hot loops.
 //!
-//! The executor's data-parallel loops (base-scan filtering, hash-join
-//! probes, index-nested-loop probes, residual projection) all have the
-//! same shape: a pure function mapped over a slice of inputs whose
+//! The select evaluator's data-parallel kernels (base-scan filtering,
+//! hash-join probes, index-nested-loop probes, projection) all have
+//! the same shape: a pure function mapped over a slice of inputs whose
 //! outputs are concatenated in input order. [`run_morsels`] runs that
 //! shape on a hand-rolled worker pool built on [`std::thread::scope`]
 //! — no queues, no channels, no external crates:

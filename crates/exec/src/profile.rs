@@ -44,7 +44,7 @@ pub struct BoxProfile {
 /// Convergence record of one fixpoint (recursive union) box: how many
 /// iterations the driver ran and how many new rows each one added.
 /// Deterministic — no clocks — so the determinism suite can pin it
-/// across thread counts and the columnar toggle.
+/// across thread counts.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FixpointStats {
     /// Step iterations after the seed (a query whose step never fires

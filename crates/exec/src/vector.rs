@@ -6,19 +6,19 @@
 //! frozen to literals — the frame is fixed for the duration of one
 //! select evaluation — and anything that would need the executor
 //! (aggregates, quantified tests, scalar subqueries, parameters)
-//! refuses to compile, which makes the whole select box fall back to
-//! the row-at-a-time path.
+//! refuses to compile, which sends it to the select evaluator's
+//! scalar stage.
 //!
 //! [`eval`] evaluates a [`VExpr`] for a set of row positions,
 //! producing a [`Vector`] column-at-a-time. Every kernel mirrors the
 //! executor's `eval_expr` *on values*: typed fast paths exist only
 //! where they are bit-exact (`i64`/`i64` comparison and arithmetic,
 //! string comparison), everything else goes through the same
-//! [`Value`] operations the row path uses. Errors need no such care:
-//! the columnar path treats any kernel error as "fall back to the row
-//! path", and the kernels evaluate a superset of the (row, expression)
-//! pairs the row path would, so a query the row path fails is never
-//! silently answered and a query the row path answers is never failed.
+//! [`Value`] operations `eval_expr` uses. Errors need no such care:
+//! the kernels evaluate a superset of the (row, expression) pairs a
+//! short-circuiting evaluation would, and the select evaluator re-runs
+//! any stage whose kernel fails through `eval_expr`, which decides
+//! whether the error is real and what its text is.
 
 use std::sync::Arc;
 
@@ -376,7 +376,7 @@ fn cmp_passes(op: BinOp, ord: std::cmp::Ordering) -> bool {
 }
 
 /// Value-level mirror of the executor's binary evaluation on two
-/// already-computed operands. The row path's AND/OR short-circuits are
+/// already-computed operands. `eval_expr`'s AND/OR short-circuits are
 /// pure evaluation-avoidance: the produced value is identical.
 fn bin_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
@@ -581,7 +581,8 @@ mod tests {
         let v = run(&bin(BinOp::Add, col(0), lit(Value::Int(10))));
         assert_eq!(v.value_at(0), Value::Int(11));
         assert!(v.is_null_at(2));
-        // Division by zero errors (the columnar caller falls back).
+        // Division by zero errors (the select evaluator re-runs the
+        // stage through `eval_expr`).
         let b = batch();
         let ids: Vec<u32> = (0..b.len() as u32).collect();
         let slots = [SlotView {

@@ -67,11 +67,6 @@ pub struct FuzzConfig {
     /// analysis (nullability / multiplicity-bounds agreement plus
     /// L2xx cleanliness). On by default.
     pub analysis: bool,
-    /// Run every in-process configuration with the columnar batch
-    /// path both on and off, so the vectorized and row-at-a-time
-    /// executors cross-check each other. On by default;
-    /// `--no-columnar-oracle` is the escape hatch.
-    pub columnar: bool,
 }
 
 impl Default for FuzzConfig {
@@ -85,7 +80,6 @@ impl Default for FuzzConfig {
             shrink_checks: 600,
             server: None,
             analysis: true,
-            columnar: true,
         }
     }
 }
@@ -137,7 +131,6 @@ pub fn run_fuzz(engine: &Engine, cfg: &FuzzConfig) -> FuzzReport {
         None => Oracle::new(engine, cfg.threads.clone()),
     };
     oracle.set_analysis(cfg.analysis);
-    oracle.set_columnar(cfg.columnar);
     run_fuzz_with(&oracle, cfg)
 }
 

@@ -1,5 +1,5 @@
-//! The differential oracle: three strategies × thread counts ×
-//! columnar/row executor, results compared as bags.
+//! The differential oracle: three strategies × thread counts, results
+//! compared as bags.
 //!
 //! The three independent execution paths — Original (no EMST, so
 //! subqueries stay correlated and run tuple-at-a-time), Magic (EMST
@@ -33,16 +33,11 @@ use starmagic_server::{Client, Response};
 pub struct Config {
     pub strategy: StrategyKind,
     pub threads: usize,
-    /// Whether the columnar batch path was enabled; `false` pins the
-    /// row-at-a-time executor, making the two select paths each
-    /// other's oracle.
-    pub columnar: bool,
 }
 
 impl std::fmt::Display for Config {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let suffix = if self.columnar { "" } else { "·row" };
-        write!(f, "{}×{}{suffix}", self.strategy.name(), self.threads)
+        write!(f, "{}×{}", self.strategy.name(), self.threads)
     }
 }
 
@@ -141,11 +136,6 @@ pub struct Oracle<'a> {
     /// default; the remote-magic path is exempt (no in-process
     /// [`Optimized`] record exists for it).
     analysis: bool,
-    /// Run every in-process configuration a second time with the
-    /// columnar batch path disabled, so the columnar and row
-    /// executors cross-check each other. On by default; the
-    /// remote-magic path always runs the server's default.
-    columnar: bool,
 }
 
 impl<'a> Oracle<'a> {
@@ -156,18 +146,12 @@ impl<'a> Oracle<'a> {
             threads,
             remote_magic: None,
             analysis: true,
-            columnar: true,
         }
     }
 
     /// Enable or disable the analysis secondary oracle.
     pub fn set_analysis(&mut self, on: bool) {
         self.analysis = on;
-    }
-
-    /// Enable or disable the columnar-vs-row oracle dimension.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
     }
 
     /// An oracle whose Magic strategy executes through `client`. Pins
@@ -184,7 +168,6 @@ impl<'a> Oracle<'a> {
             threads,
             remote_magic: Some(RefCell::new(client)),
             analysis: true,
-            columnar: true,
         })
     }
 
@@ -196,24 +179,12 @@ impl<'a> Oracle<'a> {
     pub fn check(&self, sql: &str) -> Outcome {
         let mut runs: Vec<(Config, Result<Vec<Row>, Error>)> = Vec::new();
         for strategy in StrategyKind::ALL {
-            let modes: &[bool] = if self.columnar {
-                &[true, false]
-            } else {
-                &[true]
-            };
             if strategy == StrategyKind::Magic {
                 if let Some(remote) = &self.remote_magic {
                     let mut client = remote.borrow_mut();
                     for &threads in &self.threads {
                         let rows = remote_run(&mut client, sql, threads);
-                        runs.push((
-                            Config {
-                                strategy,
-                                threads,
-                                columnar: true,
-                            },
-                            rows,
-                        ));
+                        runs.push((Config { strategy, threads }, rows));
                     }
                     continue;
                 }
@@ -222,16 +193,7 @@ impl<'a> Oracle<'a> {
                 Err(e) => {
                     // A prepare failure applies to every thread count.
                     for &threads in &self.threads {
-                        for &columnar in modes {
-                            runs.push((
-                                Config {
-                                    strategy,
-                                    threads,
-                                    columnar,
-                                },
-                                Err(e.clone()),
-                            ));
-                        }
+                        runs.push((Config { strategy, threads }, Err(e.clone())));
                     }
                 }
                 Ok(optimized) => {
@@ -240,32 +202,25 @@ impl<'a> Oracle<'a> {
                         .analysis
                         .then(|| optimized.analysis(self.engine.catalog()));
                     for &threads in &self.threads {
-                        for &columnar in modes {
-                            prepared.threads = threads;
-                            prepared.columnar = columnar;
-                            let rows = self.engine.execute_prepared(&prepared).map(|r| {
-                                let mut rows = r.rows;
-                                rows.sort_by(Row::group_cmp);
-                                rows
-                            });
-                            let cfg = Config {
-                                strategy,
-                                threads,
-                                columnar,
-                            };
-                            if let (Some(analysis), Ok(rows)) = (&analysis, &rows) {
-                                if let Some(detail) =
-                                    analysis_disagreement(analysis, prepared.qgm.top(), rows)
-                                {
-                                    return Outcome::Diverged(Divergence {
-                                        left: cfg.to_string(),
-                                        right: "analysis".to_string(),
-                                        detail,
-                                    });
-                                }
+                        prepared.threads = threads;
+                        let rows = self.engine.execute_prepared(&prepared).map(|r| {
+                            let mut rows = r.rows;
+                            rows.sort_by(Row::group_cmp);
+                            rows
+                        });
+                        let cfg = Config { strategy, threads };
+                        if let (Some(analysis), Ok(rows)) = (&analysis, &rows) {
+                            if let Some(detail) =
+                                analysis_disagreement(analysis, prepared.qgm.top(), rows)
+                            {
+                                return Outcome::Diverged(Divergence {
+                                    left: cfg.to_string(),
+                                    right: "analysis".to_string(),
+                                    detail,
+                                });
                             }
-                            runs.push((cfg, rows));
                         }
+                        runs.push((cfg, rows));
                     }
                 }
             }

@@ -1,18 +1,19 @@
 //! Pass 8: parallel-safety of deposited join orders.
 //!
-//! The executor parallelizes a box's hot loops only when every
-//! expression they evaluate is *pure* — no aggregate, no quantified
-//! subquery test, and every column reference bound to a Foreach
-//! quantifier. A correlated existential/universal quantifier is the
+//! The executor runs a box's stages on worker threads only through
+//! its vector kernels, which evaluate *pure* expressions — no
+//! aggregate, no quantified subquery test, and every column reference
+//! bound to a Foreach quantifier. Anything else runs in the serial
+//! scalar stage. A correlated existential/universal quantifier is the
 //! worst offender: evaluating it re-enters the executor once per outer
 //! row, which can never run under worker threads. A join order that
-//! names such a quantifier therefore pins its box to the serial path
-//! while looking like an ordinary planned join.
+//! names such a quantifier therefore pins its box to the serial scalar
+//! stage while looking like an ordinary planned join.
 //!
 //! L110 makes that statically visible: it flags each join-order entry
 //! that is a correlated non-Foreach quantifier, attributed to the box
-//! and the quantifier. The finding is a warning — the executor's
-//! serial fallback is always correct — but under per-fire attribution
+//! and the quantifier. The finding is a warning — the serial scalar
+//! stage is always correct — but under per-fire attribution
 //! it points at the exact rewrite rule that deposited the unsafe
 //! order.
 

@@ -239,6 +239,31 @@ fn errors_travel_with_their_variant() {
     handle.shutdown();
 }
 
+/// A statement nested far past the parser's cap is one clean `ERR`
+/// for its session; the server process keeps serving.
+#[test]
+fn deeply_nested_query_is_an_error_not_a_crash() {
+    let (handle, addr) = start();
+    let mut client = Client::connect(addr).expect("connect");
+    let depth = 20_000;
+    let sql = format!(
+        "SELECT {}1{} FROM department",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let err = client.query(&sql).unwrap_err();
+    assert!(
+        matches!(&err, Error::Parse { message, .. } if message.contains("nesting deeper than")),
+        "expected a nesting parse error, got {err:?}"
+    );
+    client.ping().expect("the session survives");
+    Client::connect(addr)
+        .expect("the server still accepts")
+        .ping()
+        .expect("and still answers");
+    handle.shutdown();
+}
+
 #[test]
 fn explain_analyze_and_cache_frames_work_over_the_wire() {
     let (handle, addr) = start();

@@ -16,5 +16,5 @@ pub mod token;
 
 pub use ast::*;
 pub use params::{param_count, parameterize, Parameterized};
-pub use parser::{parse_query, parse_statement};
+pub use parser::{parse_query, parse_statement, MAX_NESTING};
 pub use printer::{expr_sql, query_sql, statement_sql};

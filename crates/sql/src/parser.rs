@@ -31,11 +31,20 @@ pub fn parse_query(sql: &str) -> Result<Query> {
     }
 }
 
+/// The deepest nesting of subqueries, parenthesised expressions and
+/// prefix operators a statement may have. The parser and every later
+/// stage walk the syntax tree recursively, so without a cap one
+/// hostile statement could overflow a server session's stack. At this
+/// depth the whole pipeline still fits a 2 MiB stack in a debug build.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Next auto-assigned parameter index for bare `?` markers.
     next_param: usize,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -44,7 +53,19 @@ impl Parser {
             tokens: lex(sql)?,
             pos: 0,
             next_param: 0,
+            depth: 0,
         })
+    }
+
+    /// Run `f` one nesting level deeper, or fail past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn peek(&self) -> &TokenKind {
@@ -225,6 +246,10 @@ impl Parser {
     // ---- queries ----------------------------------------------------
 
     fn query(&mut self) -> Result<Query> {
+        self.nested(Parser::query_body)
+    }
+
+    fn query_body(&mut self) -> Result<Query> {
         let with = if self.peek().is_kw("with") {
             self.bump();
             let recursive = self.eat_kw("recursive");
@@ -313,7 +338,7 @@ impl Parser {
         if matches!(self.peek(), TokenKind::LParen) {
             // Parenthesized set expression: ( SELECT ... UNION ... )
             self.bump();
-            let inner = self.set_expr()?;
+            let inner = self.nested(Parser::set_expr)?;
             self.expect(&TokenKind::RParen)?;
             Ok(inner)
         } else {
@@ -464,7 +489,7 @@ impl Parser {
     // ---- expressions ------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Parser::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -490,7 +515,7 @@ impl Parser {
     fn not_expr(&mut self) -> Result<Expr> {
         if self.peek().is_kw("not") && !self.peek2().is_kw("exists") {
             self.bump();
-            return Ok(Expr::Not(Box::new(self.not_expr()?)));
+            return Ok(Expr::Not(Box::new(self.nested(Parser::not_expr)?)));
         }
         self.predicate()
     }
@@ -651,11 +676,11 @@ impl Parser {
     fn unary(&mut self) -> Result<Expr> {
         if matches!(self.peek(), TokenKind::Minus) {
             self.bump();
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Parser::unary)?)));
         }
         if matches!(self.peek(), TokenKind::Plus) {
             self.bump();
-            return self.unary();
+            return self.nested(Parser::unary);
         }
         self.primary()
     }
